@@ -9,6 +9,9 @@
 #                      benchmarks/baselines.json with recorded margins and
 #                      print per-gate wall time)
 #   make bench       - every paper-table benchmark (slow: trains many selectors)
+#   make perfbench   - the end-to-end benchmark: one run of every workload
+#                      in BENCHMARK.json (seed 0, 10 s each), printing
+#                      each workload's JSON report
 #   make stream-demo - run the streaming quickstart example end to end
 #   make obs-demo    - run the observability walkthrough example end to end
 #   make distill-demo - run the distill + quantize + refresh example end to end
@@ -22,7 +25,7 @@ PYTHONPATH := src
 #: recovery loop must fail the build, not wedge it
 CHAOS_TIMEOUT ?= 600
 
-.PHONY: test chaos bench-smoke bench stream-demo obs-demo distill-demo cascade-demo docs-check
+.PHONY: test chaos bench-smoke bench perfbench stream-demo obs-demo distill-demo cascade-demo docs-check
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -45,6 +48,11 @@ bench-smoke:
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q benchmarks/
+
+perfbench:
+	@set -e; for workload in $$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+	  python3 perfbench/run.py --workload $$workload --seed 0 --seconds 10; \
+	done
 
 stream-demo:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/streaming_quickstart.py

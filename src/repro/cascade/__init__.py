@@ -9,6 +9,8 @@ quality*, in the spirit of BAO/MSCN-style learned query optimizers:
 * :mod:`repro.cascade.router` — the confidence-gated cascade (fast tier
   answers confident windows, uncertain ones escalate to the teacher) and
   multi-objective SLO admission over priced plans;
+* :mod:`repro.cascade.plan` — the admit/forward/escalate step the serving
+  and streaming layers share;
 * :mod:`repro.cascade.harvest` — measuring cost observations at the
   forward/detect sites and harvesting training labels from audit logs.
 """
@@ -21,6 +23,7 @@ from .cost_model import (
     cost_features_cached,
 )
 from .harvest import harvest_cost_observations, observed_cost
+from .plan import SelectionPlan
 from .router import (
     DEFAULT_THRESHOLD,
     PLAN_NAMES,
@@ -46,4 +49,5 @@ __all__ = [
     "CascadeRouter",
     "calibrate_margin_threshold",
     "margins",
+    "SelectionPlan",
 ]

@@ -33,9 +33,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE
+from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE, selector_predict_proba
 from ..selectors.base import Selector
-from ..selectors.nn_selector import NNSelector
 from .cost_model import CostModel
 
 #: default margin threshold when neither the distill metadata nor the CLI
@@ -220,10 +219,8 @@ class CascadeRouter:
     def forward_slow(self, windows: np.ndarray) -> np.ndarray:
         """Teacher forward over escalated rows (chunk-padded predict path;
         never touches the fast tier's window-probability caches)."""
-        if isinstance(self.slow_selector, NNSelector):
-            return self.slow_selector.predict_proba(
-                windows, batch_size=self.predict_batch_size)
-        return self.slow_selector.predict_proba(windows)
+        return selector_predict_proba(self.slow_selector, windows,
+                                      self.predict_batch_size)
 
     def route(self, windows: np.ndarray,
               fast_proba: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -62,3 +62,17 @@ def batched_predict_proba(
         else:
             proba[start:start + len(chunk)] = proba_fn(chunk)
     return proba
+
+
+def selector_predict_proba(
+    selector,
+    windows: np.ndarray,
+    batch_size: int = DEFAULT_PREDICT_BATCH_SIZE,
+) -> np.ndarray:
+    """Per-window probabilities of any selector: NN selectors run their
+    chunk-padded predict path at ``batch_size``, classical ones un-chunked."""
+    from ..selectors.nn_selector import NNSelector  # deferred: selectors import core
+
+    if isinstance(selector, NNSelector):
+        return selector.predict_proba(windows, batch_size=batch_size)
+    return selector.predict_proba(windows)

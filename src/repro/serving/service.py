@@ -27,12 +27,11 @@ series per batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE
+from ..cascade.plan import SelectionPlan
+from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE, selector_predict_proba
 from ..data.records import TimeSeriesRecord
 from ..data.windows import extract_windows_batch
 from ..eval.evaluation import aggregate_window_probas
@@ -40,7 +39,6 @@ from ..obs.audit import NULL_AUDIT
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, Counter, default_registry
 from ..obs.trace import span
 from ..selectors.base import Selector
-from ..selectors.nn_selector import NNSelector
 from .cache import CacheStats, LRUCache, series_fingerprint
 from .workers import WorkerPool
 
@@ -144,30 +142,12 @@ class SelectionService:
             "repro_serving_forward_seconds", "selector forward-pass latency per batch")
         self._h_detect_seconds = registry.histogram(
             "repro_serving_detect_seconds", "worker fan-out latency per detect_batch")
-        self._escalated_windows = registry.register(Counter(
-            "repro_cascade_escalated_windows_total",
-            "windows escalated from the fast tier to the teacher",
-            labels={"layer": "serving"}))
-        self._slo_fallbacks = registry.register(Counter(
-            "repro_cascade_slo_fallbacks_total",
-            "miss batches where no plan fit the SLO and the cheapest ran",
-            labels={"layer": "serving"}))
-
-    # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_store(
-        cls,
-        store_root,
-        name: str,
-        detector_names: Sequence[str],
-        config: Optional[ServingConfig] = None,
-    ) -> "SelectionService":
-        """Build a service around a selector persisted in a selector store."""
-        from ..system.selector_store import SelectorStore  # deferred: system imports serving
-
-        return cls(SelectorStore(store_root).load(name), detector_names, config)
+        self.plan = SelectionPlan(
+            lambda windows: selector_predict_proba(
+                self.selector, windows, self.config.predict_batch_size),
+            self.config.selector_tier, self.config.window, "serving",
+            cascade=cascade, latency_slo_ms=self.config.latency_slo_ms,
+            memory_budget_mb=self.config.memory_budget_mb)
 
     # ------------------------------------------------------------------ #
     # serving
@@ -179,11 +159,6 @@ class SelectionService:
             record.series,
             extra=(cfg.window, cfg.stride or cfg.window, cfg.aggregation),
         )
-
-    def _predict_proba(self, windows: np.ndarray) -> np.ndarray:
-        if isinstance(self.selector, NNSelector):
-            return self.selector.predict_proba(windows, batch_size=self.config.predict_batch_size)
-        return self.selector.predict_proba(windows)
 
     def select_batch(self, records: Sequence[TimeSeriesRecord]) -> List[SelectionResult]:
         """Answer a batch of series, vectorised across the cache misses."""
@@ -219,12 +194,15 @@ class SelectionService:
             self._h_batch_windows.observe(len(windows))
             with self._h_forward_seconds.time(), \
                     span("serving.forward", windows=len(windows), series=len(miss_keys)):
-                if self.cascade is None:
-                    proba = self._measured_forward(
-                        lambda: self._predict_proba(windows),
-                        self.config.selector_tier, len(windows))
-                else:
-                    proba = self._cascade_forward(windows)
+                decision = self.plan.admit(len(windows), self.audit)
+                proba, mask, fast_margins = self.plan.forward(windows, decision, self.audit)
+            if decision is not None:
+                self.last_admit = decision
+                self.last_cascade = self.plan.summary(
+                    decision, n_windows=len(windows),
+                    escalated_windows=0 if mask is None else int(mask.sum()),
+                    min_margin=(float(fast_margins.min())
+                                if fast_margins is not None and len(fast_margins) else None))
             for j, key in enumerate(miss_keys):
                 series_proba = proba[offsets[j]:offsets[j + 1]]
                 choice, aggregated = aggregate_window_probas(series_proba, cfg.aggregation)
@@ -253,75 +231,6 @@ class SelectionService:
     def select(self, record: TimeSeriesRecord) -> SelectionResult:
         """Answer a single series (a batch of one — same code path)."""
         return self.select_batch([record])[0]
-
-    # ------------------------------------------------------------------ #
-    # cascade plumbing (inert when ``self.cascade is None``)
-    # ------------------------------------------------------------------ #
-    def _measured_forward(self, fn, tier: str, n_windows: int) -> np.ndarray:
-        """Run one forward pass; record a ``cost_observation`` when auditing.
-
-        The measurement is a cost-model training label, never a routing
-        input — audited runs stay decision-identical to unaudited ones.
-        """
-        if not self.audit.enabled:
-            return fn()
-        from ..cascade.harvest import observed_cost  # deferred: audit-only path
-
-        result, wall_ms, peak_mb = observed_cost(fn)
-        self.audit.record(
-            "cost_observation", kind="selector_forward", target=tier,
-            n_windows=int(n_windows), window=int(self.config.window),
-            wall_ms=float(wall_ms), peak_mb=peak_mb)
-        return result
-
-    def _cascade_forward(self, windows: np.ndarray) -> np.ndarray:
-        """Admit one miss batch against the SLO and run the chosen plan."""
-        cfg = self.config
-        decision = self.cascade.admit(
-            len(windows),
-            latency_slo_ms=cfg.latency_slo_ms,
-            memory_budget_mb=cfg.memory_budget_mb,
-        )
-        self.last_admit = decision
-        if decision.fallback:
-            self._slo_fallbacks.inc()
-            if self.audit.enabled:
-                self.audit.record("slo_fallback", layer="serving",
-                                  n_windows=len(windows), **decision.as_dict())
-
-        n_escalated, min_margin = 0, None
-        slow_tier = getattr(self.cascade, "slow_tier", "teacher")
-        if decision.plan == "teacher":
-            proba = self._measured_forward(
-                lambda: self.cascade.forward_slow(windows), slow_tier, len(windows))
-        else:
-            proba = self._measured_forward(
-                lambda: self._predict_proba(windows),
-                cfg.selector_tier, len(windows))
-            from ..cascade.router import margins  # deferred: cascade-only path
-
-            min_margin = float(margins(proba).min()) if len(proba) else None
-            if decision.plan == "cascade":
-                mask = self.cascade.escalate_mask(proba, windows)
-                if mask.any():
-                    proba = np.array(proba, dtype=np.float64, copy=True)
-                    proba[mask] = self._measured_forward(
-                        lambda: self.cascade.forward_slow(windows[mask]),
-                        slow_tier, int(mask.sum()))
-                    n_escalated = int(mask.sum())
-                    self._escalated_windows.inc(n_escalated)
-        self.last_cascade = {
-            "plan": decision.plan,
-            "slow_tier": slow_tier,
-            "escalated_windows": n_escalated,
-            "n_windows": len(windows),
-            "threshold": float(self.cascade.threshold),
-            "min_margin": min_margin,
-            "predicted_ms": float(decision.predicted_ms),
-            "predicted_mb": float(decision.predicted_mb),
-            "fallback": bool(decision.fallback),
-        }
-        return proba
 
     def detect_batch(
         self,

@@ -27,12 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE
+from ..core.inference import DEFAULT_PREDICT_BATCH_SIZE, selector_predict_proba
 from ..data.windows import extract_windows
 from ..eval.evaluation import aggregate_window_probas
 from ..obs.metrics import Counter, default_registry
 from ..selectors.base import Selector
-from ..selectors.nn_selector import NNSelector
 from ..serving.cache import CacheStats, LRUCache, series_fingerprint
 
 
@@ -143,9 +142,7 @@ class StreamingSelector:
         vote/count fractions, but tick-boundary bit-equality is *engineered*
         only for the NN path.
         """
-        if isinstance(self.selector, NNSelector):
-            return self.selector.predict_proba(windows, batch_size=self.predict_batch_size)
-        return self.selector.predict_proba(windows)
+        return selector_predict_proba(self.selector, windows, self.predict_batch_size)
 
     def predict_proba(self, windows: np.ndarray) -> np.ndarray:
         """Per-window probabilities, answering repeats from the window LRU.

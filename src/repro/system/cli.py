@@ -707,15 +707,14 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
     prices).  The margin threshold resolves ``--cascade-threshold`` →
     distill-calibrated store metadata → default.
     """
-    slo_given = (getattr(args, "latency_slo_ms", None) is not None
-                 or getattr(args, "memory_budget_mb", None) is not None)
-    if not getattr(args, "cascade", False):
+    slo_given = args.latency_slo_ms is not None or args.memory_budget_mb is not None
+    if not args.cascade:
         if slo_given:
             raise SystemExit("--latency-slo-ms/--memory-budget-mb need --cascade")
         return None
     from ..cascade import DEFAULT_THRESHOLD, CascadeRouter, CostModel
 
-    tier = getattr(args, "selector_tier", "teacher")
+    tier = args.selector_tier
     fast_tier = tier if tier in ("student", "student-int8") else "student-int8"
     slow_tier = "teacher-int8" if tier == "teacher-int8" else "teacher"
     teacher = _load_tier_selector(store, args.name, slow_tier)
@@ -757,16 +756,27 @@ def _resolve_cascade(args: argparse.Namespace, store: SelectorStore, window: int
     return router, fast_tier
 
 
+def _serving_parts(args: argparse.Namespace):
+    """Resolve the served tier of a serving command: ``(store, selector, tier, router)``.
+
+    With ``--cascade`` the served tier is the router's fast tier, and
+    ``args.selector_tier`` is rewritten to it so the refresh parts follow
+    the tier actually served.
+    """
+    store = SelectorStore(args.store)
+    tier, router = args.selector_tier, None
+    cascade = _resolve_cascade(args, store, args.window)
+    if cascade is not None:
+        router, tier = cascade
+        args.selector_tier = tier
+    return store, _load_tier_selector(store, args.name, tier), tier, router
+
+
 def _make_service(args: argparse.Namespace) -> "SelectionService":
     from ..detectors.base import DEFAULT_MODEL_NAMES
     from ..serving import SelectionService, ServingConfig
 
-    store = SelectorStore(args.store)
-    tier = getattr(args, "selector_tier", "teacher")
-    cascade = _resolve_cascade(args, store, args.window)
-    router = None
-    if cascade is not None:
-        router, tier = cascade
+    _, selector, tier, router = _serving_parts(args)
     config = ServingConfig(
         window=args.window,
         aggregation=args.aggregation,
@@ -774,10 +784,9 @@ def _make_service(args: argparse.Namespace) -> "SelectionService":
         max_workers=args.workers,
         worker_mode=args.worker_mode,
         selector_tier=tier,
-        latency_slo_ms=getattr(args, "latency_slo_ms", None),
-        memory_budget_mb=getattr(args, "memory_budget_mb", None),
+        latency_slo_ms=args.latency_slo_ms,
+        memory_budget_mb=args.memory_budget_mb,
     )
-    selector = _load_tier_selector(store, args.name, tier)
     return SelectionService(selector, DEFAULT_MODEL_NAMES, config, cascade=router)
 
 
@@ -845,57 +854,56 @@ def _load_refresh_parts(args: argparse.Namespace, store: SelectorStore, selector
     ``student-int8`` it is loaded alongside so the int8 twin can be
     re-quantized in place after each escalation.
     """
-    if getattr(args, "refresh_min_agreement", None) is None:
+    if args.refresh_min_agreement is None:
         return None, None, None
-    tier = getattr(args, "selector_tier", "teacher")
-    if tier == "teacher":
+    if args.selector_tier == "teacher":
         raise SystemExit("--refresh-min-agreement needs --selector-tier "
                          "student or student-int8")
     from ..distill import RefreshConfig
 
     teacher = _load_tier_selector(store, args.name, "teacher")
     student = (_load_tier_selector(store, args.name, "student")
-               if tier == "student-int8" else selector)
+               if args.selector_tier == "student-int8" else selector)
     return teacher, student, RefreshConfig(min_agreement=args.refresh_min_agreement)
 
 
-def _make_stream_engine(args: argparse.Namespace) -> "StreamEngine":
-    from ..detectors.base import DEFAULT_MODEL_NAMES
-    from ..streaming import DriftConfig, StreamEngine, StreamingConfig
+def _make_engine_factory(args: argparse.Namespace, model_set=None, **config_fields):
+    """The stream-engine builder of ``stream`` / ``serve-sharded``.
 
-    store = SelectorStore(args.store)
-    tier = getattr(args, "selector_tier", "teacher")
-    cascade = _resolve_cascade(args, store, args.window)
-    router = None
-    if cascade is not None:
-        router, tier = cascade
-        args.selector_tier = tier  # refresh parts follow the served tier
+    ``config_fields`` adds the command's own :class:`StreamingConfig`
+    knobs to the ones every streaming command shares.
+    """
+    from ..detectors.base import DEFAULT_MODEL_NAMES
+    from ..service import make_engine_factory
+    from ..streaming import DriftConfig, StreamingConfig
+
+    store, selector, tier, router = _serving_parts(args)
     config = StreamingConfig(
         window=args.window,
         stride=args.stride,
         aggregation=args.aggregation,
-        cache_capacity=args.cache_capacity,
-        max_batch_windows=args.max_batch_windows,
-        max_workers=args.workers,
         drift=(DriftConfig(threshold=args.drift_threshold)
                if args.drift_threshold is not None else None),
         selector_tier=tier,
-        latency_slo_ms=getattr(args, "latency_slo_ms", None),
-        memory_budget_mb=getattr(args, "memory_budget_mb", None),
+        latency_slo_ms=args.latency_slo_ms,
+        memory_budget_mb=args.memory_budget_mb,
+        **config_fields,
     )
-    model_set = (make_default_model_set(window=args.detector_window, fast=True)
-                 if args.score else None)
-    selector = _load_tier_selector(store, args.name, tier)
     teacher, student, refresh_config = _load_refresh_parts(args, store, selector)
-    refresher = None
-    if teacher is not None:
-        from ..distill import Int8StudentSelector, StudentRefresher
+    return make_engine_factory(selector, DEFAULT_MODEL_NAMES, config,
+                               model_set=model_set, teacher=teacher, student=student,
+                               refresh_config=refresh_config, cascade=router)
 
-        refresher = StudentRefresher(
-            teacher, student, refresh_config,
-            quantized=selector if isinstance(selector, Int8StudentSelector) else None)
-    return StreamEngine(selector, DEFAULT_MODEL_NAMES, config, model_set=model_set,
-                        refresher=refresher, cascade=router)
+
+def _make_stream_engine(args: argparse.Namespace) -> "StreamEngine":
+    return _make_engine_factory(
+        args,
+        model_set=(make_default_model_set(window=args.detector_window, fast=True)
+                   if args.score else None),
+        cache_capacity=args.cache_capacity,
+        max_batch_windows=args.max_batch_windows,
+        max_workers=args.workers,
+    )()
 
 
 def _format_stream_stats(stats) -> str:
@@ -1000,34 +1008,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _make_sharded_service(args: argparse.Namespace, audit=None) -> "ShardedService":
-    from ..detectors.base import DEFAULT_MODEL_NAMES
-    from ..service import ServiceConfig, ShardedService, make_engine_factory
-    from ..streaming import DriftConfig, StreamingConfig
+    from ..service import ServiceConfig, ShardedService
 
-    store = SelectorStore(args.store)
-    tier = getattr(args, "selector_tier", "teacher")
-    cascade = _resolve_cascade(args, store, args.window)
-    router = None
-    if cascade is not None:
-        router, tier = cascade
-        args.selector_tier = tier  # refresh parts follow the served tier
-    selector = _load_tier_selector(store, args.name, tier)
-    config = StreamingConfig(
-        window=args.window,
-        stride=args.stride,
-        aggregation=args.aggregation,
-        drift=(DriftConfig(threshold=args.drift_threshold)
-               if args.drift_threshold is not None else None),
-        selector_tier=tier,
-        latency_slo_ms=getattr(args, "latency_slo_ms", None),
-        memory_budget_mb=getattr(args, "memory_budget_mb", None),
-    )
-    teacher, student, refresh_config = _load_refresh_parts(args, store, selector)
-    factory = make_engine_factory(selector, DEFAULT_MODEL_NAMES, config,
-                                  teacher=teacher, student=student,
-                                  refresh_config=refresh_config,
-                                  cascade=router)
-    return ShardedService(factory, ServiceConfig(
+    return ShardedService(_make_engine_factory(args), ServiceConfig(
         n_shards=args.shards, request_timeout_s=args.request_timeout),
         audit=audit)
 

@@ -36,11 +36,13 @@ from repro.cascade.harvest import cost_observation_event
 from repro.core import TrainerConfig
 from repro.data import build_selector_dataset, extract_windows, generate_series
 from repro.obs import AuditLog
+from repro.obs import metrics as obs_metrics
 from repro.obs.explain import explain_from_audit, explain_stream, format_explain
 from repro.selectors import make_selector
 from repro.service import ServiceConfig, ShardedService, make_engine_factory
 from repro.serving import SelectionService, ServingConfig
 from repro.streaming import StreamEngine, StreamingConfig
+from repro.streaming import DriftConfig
 from repro.system.cli import main
 
 
@@ -458,6 +460,98 @@ class TestStreamingCascade:
         assert selections
         assert all("cascade" in e for e in selections)
         assert {e["cascade"]["plan"] for e in selections} <= {"cascade", "fast"}
+
+    def test_drift_monitoring_keeps_each_streams_cascade(self, cascade_world):
+        # several streams flush together while drift is monitored: each
+        # still records its own cascade summary of the admitted plan
+        engine = self._engine(cascade_world, cascade=_router(cascade_world),
+                              drift=DriftConfig())
+        first, second = list(cascade_world["streams"].values())[:2]
+        engine.append("s1", first)
+        engine.append("s2", second[:400])
+        updates = engine.flush()
+        assert set(updates) == {"s1", "s2"}
+        assert updates["s1"].n_new_windows != updates["s2"].n_new_windows
+        for sid, update in updates.items():
+            block = engine.explain(sid)["cascade"]
+            assert block["plan"] == "cascade"
+            assert block["n_new_windows"] == update.n_new_windows
+            assert block["escalated_windows"] == update.escalated_windows
+
+
+# --------------------------------------------------------------------------- #
+# metrics: both layers meter escalations and fallbacks under one name
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def fresh_registry():
+    """An enabled default registry for one test; the old one is restored."""
+    registry = obs_metrics.MetricsRegistry(enabled=True)
+    previous = obs_metrics.set_default_registry(registry)
+    yield registry
+    obs_metrics.set_default_registry(previous)
+
+
+def _exposed(text, name, layer):
+    """The value of ``name{layer="..."}`` in a Prometheus exposition."""
+    prefix = f'{name}{{layer="{layer}"}} '
+    values = [float(line[len(prefix):]) for line in text.splitlines()
+              if line.startswith(prefix)]
+    assert len(values) == 1, f"{prefix!r} exposed {len(values)} times"
+    return values[0]
+
+
+class TestCascadeMetrics:
+    ESCALATED = "repro_cascade_escalated_windows_total"
+    FALLBACKS = "repro_cascade_slo_fallbacks_total"
+
+    def _run(self, world, router, **slo):
+        """Drive one service and one engine through ``router``; returns the
+        exposition text and what each layer reported on its own."""
+        service = SelectionService(
+            world["fast"], world["detector_names"],
+            ServingConfig(window=64, selector_tier="student", **slo),
+            cascade=router)
+        served = {"escalated": 0, "fallbacks": 0}
+        for name in ("ECG", "IOPS", "MGAB"):
+            service.select(generate_series(name, 5, 600, seed=11))
+            served["escalated"] += service.last_cascade["escalated_windows"]
+            served["fallbacks"] += int(service.last_admit.fallback)
+        audit = AuditLog()
+        engine = StreamEngine(world["fast"], world["detector_names"],
+                              StreamingConfig(window=64, stride=64, **slo),
+                              audit=audit, cascade=router)
+        updates = []
+        length = max(len(s) for s in world["streams"].values())
+        for start in range(0, length, 100):
+            for sid, series in world["streams"].items():
+                engine.append(sid, series[start:start + 100])
+            updates.extend(engine.flush().values())
+        streamed = {"escalated": sum(u.escalated_windows for u in updates),
+                    "fallbacks": len(audit.events(event="slo_fallback"))}
+        return obs_metrics.default_registry().render_prometheus(), served, streamed, engine
+
+    def test_escalations_are_exposed_per_layer(self, cascade_world, fresh_registry):
+        text, served, streamed, engine = self._run(
+            cascade_world, _router(cascade_world, threshold=2.0))
+        assert served["escalated"] > 0 and streamed["escalated"] > 0
+        assert _exposed(text, self.ESCALATED, "serving") == served["escalated"]
+        assert _exposed(text, self.ESCALATED, "streaming") == streamed["escalated"]
+        assert engine.stats.escalated_windows == streamed["escalated"]
+        assert _exposed(text, self.FALLBACKS, "serving") == 0
+        assert _exposed(text, self.FALLBACKS, "streaming") == 0
+        assert engine.stats.slo_fallbacks == 0
+
+    def test_slo_fallbacks_are_exposed_per_layer(self, cascade_world, fresh_registry):
+        text, served, streamed, engine = self._run(
+            cascade_world, _router(cascade_world), latency_slo_ms=1e-6)
+        assert served["fallbacks"] == 3  # one per miss batch
+        assert streamed["fallbacks"] > 0
+        assert _exposed(text, self.FALLBACKS, "serving") == served["fallbacks"]
+        assert _exposed(text, self.FALLBACKS, "streaming") == streamed["fallbacks"]
+        assert engine.stats.slo_fallbacks == streamed["fallbacks"]
+        assert _exposed(text, self.ESCALATED, "serving") == served["escalated"]
+        assert _exposed(text, self.ESCALATED, "streaming") == streamed["escalated"]
+        assert engine.stats.escalated_windows == streamed["escalated"]
 
 
 # --------------------------------------------------------------------------- #

@@ -380,6 +380,21 @@ class TestStreamEngine:
         # the vote now covers only recent windows, not the whole history
         assert engine.selection("flip").n_windows < engine.stats.windows
 
+    def test_drift_monitoring_with_several_streams_in_one_flush(self, streaming_world):
+        # several streams flush together while drift is monitored: one
+        # stream's drift verdict must not replace the flush's admission
+        # decision that the next stream's bookkeeping reads
+        engine = _fresh_engine(streaming_world, drift=DriftConfig())
+        first, second = streaming_world["queries"][:2]
+        engine.append("s1", first.series)
+        engine.append("s2", second.series[:400])
+        updates = engine.flush()
+        assert set(updates) == {"s1", "s2"}
+        assert updates["s1"].n_new_windows == complete_window_count(len(first.series), 64)
+        assert updates["s2"].n_new_windows == complete_window_count(400, 64)
+        for sid in ("s1", "s2"):
+            assert updates[sid].selected_model in streaming_world["detector_names"]
+
     def test_engine_without_pending_flushes_to_nothing(self, streaming_world):
         engine = _fresh_engine(streaming_world)
         assert engine.flush() == {}
